@@ -73,7 +73,7 @@ Examples::
     python -m repro perf --scale tiny
     python -m repro perf --repeats 7 --out BENCH_sim.json
     python -m repro perf --check prior/BENCH_sim.json --max-slowdown 0.15
-    python -m repro perf --history BENCH_history.jsonl --min-speedup 1.5
+    python -m repro perf --history BENCH_history.jsonl
     python -m repro perf --profile 25
     REPRO_TRACE=trace.jsonl python -m repro perf --scale tiny --trace
     python -m repro trace summary trace.jsonl --top 5
@@ -218,6 +218,15 @@ def run_sweep(args) -> str:
         ["cores", "base I-MPKI", "strex", "slicc", "hybrid"], rows)
 
 
+#: Override-grid options: the config class each one targets and the
+#: example grid its help text shows (a real field of that class).
+OVERRIDE_EXAMPLES = {
+    "--strex-overrides": ("StrexConfig", '{"phase_bits": [2, 4, 8]}'),
+    "--cache-overrides": ("CacheConfig", '{"assoc": [2, 4, 8]}'),
+    "--hybrid-overrides": ("HybridConfig", '{"slack_units": [0, 1]}'),
+}
+
+
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     """The sweep-grid axes shared by ``sweep`` and ``shard``."""
     parser.add_argument("--workloads", nargs="+",
@@ -234,13 +243,11 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scales", nargs="+", choices=sorted(SCALES),
                         default=["default"])
     parser.add_argument("--transactions", type=int, default=40)
-    for option, target in (("--strex-overrides", "StrexConfig"),
-                           ("--cache-overrides", "CacheConfig"),
-                           ("--hybrid-overrides", "HybridConfig")):
+    for option, (target, example) in OVERRIDE_EXAMPLES.items():
         parser.add_argument(
             option, type=json.loads, default=None, metavar="JSON",
             help=f"ablation grid over {target} fields, e.g. "
-                 '\'{"phase_bits": [2, 4, 8]}\'')
+                 f"'{example}'")
 
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -823,12 +830,6 @@ def build_perf_parser() -> argparse.ArgumentParser:
                         metavar="F",
                         help="tolerated fractional events/s drop for "
                              "--check (default 0.15)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        metavar="F",
-                        help="exit nonzero unless the batch replay "
-                             "layer delivers at least this x-factor "
-                             "over the no-batch fast path "
-                             "(batch_speedup in the report)")
     parser.add_argument("--history", type=Path, default=None,
                         metavar="PATH",
                         help="also append the report as one JSON line "
@@ -841,9 +842,8 @@ def build_perf_parser() -> argparse.ArgumentParser:
                              "functions by total time")
     parser.add_argument("--trace", action="store_true",
                         help="embed the engine's own kernel counters "
-                             "(fast-forward runs taken, memo hit "
-                             "rate, batch record/replay tallies) in "
-                             "the report as 'kernel_counters'")
+                             "(events, instructions of one traced "
+                             "run) in the report as 'kernel_counters'")
     return parser
 
 
@@ -875,15 +875,6 @@ def run_perf(argv: List[str]) -> Tuple[str, int]:
     write_bench(report, args.out)
     text = format_report(report) + f"\nwrote {args.out}"
     code = 0
-    if args.min_speedup is not None:
-        actual = float(report["batch_speedup"])
-        if actual < args.min_speedup:
-            text += (f"\nbatch layer below floor: x{actual:.2f} < "
-                     f"x{args.min_speedup:.2f}")
-            code = 1
-        else:
-            text += (f"\nbatch layer above floor: x{actual:.2f} >= "
-                     f"x{args.min_speedup:.2f}")
     if args.check is not None:
         if not args.check.exists():
             text += (f"\nno prior report at {args.check}; "
@@ -973,8 +964,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="repro serve",
         description="Start the persistent sweep service: a supervisor "
                     "plus N long-lived worker processes that keep "
-                    "trace memos, run tables, and the batch "
-                    "record/replay registry warm across jobs.  Jobs "
+                    "trace memos and derived trace views warm across "
+                    "jobs.  Jobs "
                     "arrive via 'repro submit' on a bounded, "
                     "priority-aware, file-backed queue; results land "
                     "in the same ResultCache/Manifest as 'repro "
@@ -1055,8 +1046,8 @@ def build_submit_parser() -> argparse.ArgumentParser:
                     "durable: it survives a service restart and can "
                     "be submitted before the service starts.  "
                     "--repeat N re-executes each cell N times in "
-                    "total (later passes bypass the cache read) to "
-                    "prime the batch record/replay registry; --wait "
+                    "total (later passes bypass the cache read and "
+                    "reuse the worker's trace memo); --wait "
                     "blocks until the job finishes and prints its "
                     "outcome.",
     )
@@ -1128,7 +1119,6 @@ def run_submit(argv: List[str]) -> Tuple[str, int]:
         f"{record.get('executed', 0)} executed, "
         f"{record.get('warm_hits', 0)} warm "
         f"({100.0 * (record.get('warm_rate') or 0.0):.1f}%), "
-        f"{record.get('batch_replays', 0)} batch replay(s), "
         f"wall {record.get('wall_s', 0.0):.3f}s "
         f"(queued {record.get('queue_wait_s', 0.0):.3f}s)",
         0,
@@ -1141,8 +1131,8 @@ def build_status_parser() -> argparse.ArgumentParser:
         prog="repro status",
         description="Report the sweep service's state: supervisor "
                     "liveness, queue depth vs capacity, per-worker "
-                    "warm-cache stats (cache hits, batch replays, "
-                    "trace-memo hit rate, restarts), and job "
+                    "warm-cache stats (cache hits, trace-memo hit "
+                    "rate, restarts), and job "
                     "outcomes.  Read-only and file-based: works "
                     "whether or not the service is running.",
     )

@@ -86,7 +86,13 @@ from repro.exp.shard import (
     run_shard,
     shard_root,
 )
-from repro.exp.spec import MODES, RunSpec, ShardSpec, SweepSpec
+from repro.exp.spec import (
+    MODES,
+    RunSpec,
+    ShardSpec,
+    SweepSpec,
+    validate_specs,
+)
 
 __all__ = [
     "AuditFigure",
@@ -138,4 +144,5 @@ __all__ = [
     "spec_key",
     "summarize_entries",
     "update_baseline",
+    "validate_specs",
 ]

@@ -39,7 +39,7 @@ from repro.core.fptable import FootprintResult, profile_fptable
 from repro.core.identical import replicate_instances
 from repro.exp.cache import RESULT_TYPES, ResultCache, spec_key
 from repro.exp.manifest import Manifest, ManifestEntry
-from repro.exp.spec import RunSpec, ShardSpec, SweepSpec
+from repro.exp.spec import RunSpec, ShardSpec, SweepSpec, validate_specs
 from repro.sim.api import simulate
 from repro.workloads import make_workload
 
@@ -306,6 +306,7 @@ class Runner:
         if isinstance(specs, SweepSpec):
             specs = specs.expand()
         specs = list(specs)
+        validate_specs(specs)
         self.hits = 0
         self.misses = 0
         self.skipped = 0
@@ -325,8 +326,11 @@ class Runner:
             results: List[Optional[object]] = [None] * len(specs)
             pending: List[int] = []
             for idx, spec in enumerate(specs):
+                # ``is not None``: a ResultCache's truthiness is its
+                # ``__len__``, a directory glob per cell.
                 cached = (
-                    self.cache.get(keys[idx]) if self.cache else None
+                    self.cache.get(keys[idx])
+                    if self.cache is not None else None
                 )
                 if cached is not None:
                     results[idx] = cached

@@ -37,7 +37,7 @@ from repro.config import (
     StrexConfig,
     SystemConfig,
 )
-from repro.sim.api import PREFETCHERS, SCHEDULERS
+from repro.sim.api import PREFETCHERS, SCHEDULERS, validate_run_request
 from repro.workloads import WORKLOADS
 
 #: Experiment modes a spec can run (see :func:`repro.exp.runner.execute_spec`).
@@ -374,6 +374,25 @@ class RunSpec:
                 parts.append(f"{prefix}{{{knobs}}}")
         parts.append(f"seed={self.seed}")
         return "/".join(parts)
+
+
+def validate_specs(specs: Sequence[RunSpec]) -> None:
+    """Raise ``ValueError`` naming the first cell that cannot run.
+
+    Checks what :class:`RunSpec` construction cannot see on its own:
+    the simulator's request rules (:func:`validate_run_request`, e.g.
+    a team size below one) and the materialized config (override
+    values the config classes reject).  Cheap -- no traces, no
+    engine -- so every entry point calls it before any cell executes.
+    """
+    for spec in specs:
+        try:
+            validate_run_request(spec.scheduler, spec.prefetcher,
+                                 spec.team_size)
+            spec.build_config()
+        except ValueError as exc:
+            raise ValueError(
+                f"cell {spec.describe()} is invalid: {exc}") from exc
 
 
 def _tuple(values: Sequence) -> Tuple:

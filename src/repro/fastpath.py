@@ -6,6 +6,15 @@ original per-set structures + recency stacks + general loop).  Both
 produce bit-identical :class:`~repro.sim.results.RunResult` metrics;
 the reference path exists so differential tests can prove it.
 
+The fast path interprets every event; nothing is replayed or memoized
+across slices or runs (the batch replay layer and hit-run
+fast-forward were retired, DESIGN.md decision 16).
+:meth:`~repro.sim.engine.SimulationEngine.run_events` picks one of
+three loops per call: the age loop (LRU/FIFO L1-I and L2, handling
+STREX's switch monitoring and progress floor and SLICC's miss log
+in-loop), its tight variant for unmonitored slices, and an
+inlined-L1 loop for the other replacement policies.
+
 Selection is via the environment::
 
     REPRO_SIM_REFERENCE=1 python -m repro ...
@@ -33,13 +42,6 @@ ENV_VAR = "REPRO_SIM_REFERENCE"
 #: Any value other than empty/"0" enables them.
 CHECK_ENV = "REPRO_SIM_CHECK"
 
-#: Environment variable disabling the batch replay layer (hit-run
-#: fast-forwarding and warm-slice memoization, :mod:`repro.sim.batch`).
-#: Any value other than empty/"0" forces the scalar loops; results are
-#: byte-identical either way -- this is an escape hatch and an A/B
-#: switch for the differential tests, not a semantic knob.
-NOBATCH_ENV = "REPRO_SIM_NOBATCH"
-
 
 def reference_mode() -> bool:
     """True when the reference simulation path is requested."""
@@ -49,8 +51,3 @@ def reference_mode() -> bool:
 def check_mode() -> bool:
     """True when the engine's invariant oracles are armed."""
     return os.environ.get(CHECK_ENV, "") not in ("", "0")
-
-
-def nobatch_mode() -> bool:
-    """True when batch replay (FF + memoization) is disabled."""
-    return os.environ.get(NOBATCH_ENV, "") not in ("", "0")

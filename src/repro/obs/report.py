@@ -11,8 +11,7 @@ records plus a single merged :class:`MetricsRegistry`.
   is a span's duration minus its same-process children),
 * the top-N hottest ``cell`` spans (executed sweep cells),
 * kernel-counter totals over every ``sim.run`` span (events,
-  instructions, fast-forward runs/memo hits, batch record/replay
-  deltas),
+  instructions),
 * sweep-level cache accounting (hits/misses/skipped) that reconciles
   with the manifest,
 * the merged metrics registry.

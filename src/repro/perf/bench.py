@@ -8,12 +8,9 @@ kept -- the most reproducible statistic on a shared machine.  Before
 any timing is trusted, the two paths' full :class:`RunResult` dicts are
 compared; a mismatch raises rather than recording a meaningless number.
 
-Three series are timed: ``fast`` (the full kernel including the batch
-replay layer of :mod:`repro.sim.batch` -- its min reflects warm-slice
-replay, the steady state of repeated identical runs), ``fast_nobatch``
-(``REPRO_SIM_NOBATCH=1``: the interpreting kernel alone), and
-``reference``.  After timing, a replayed run is re-checked against the
-reference result byte for byte.
+Two series are timed: ``fast`` (the kernel every sweep cell runs; it
+interprets every event, so repeats are as cold as the first run) and
+``reference``.
 
 The report is written as JSON (``BENCH_sim.json`` at the repo root by
 convention) so CI can archive it and reviews can diff it;
@@ -33,7 +30,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro import obs
 from repro.config import SCALES
-from repro.fastpath import ENV_VAR, NOBATCH_ENV
+from repro.fastpath import ENV_VAR
 from repro.sim.api import SCHEDULERS, simulate
 from repro.workloads import WORKLOADS
 
@@ -46,13 +43,6 @@ def _set_reference(on: bool) -> None:
         os.environ[ENV_VAR] = "1"
     else:
         os.environ.pop(ENV_VAR, None)
-
-
-def _set_nobatch(on: bool) -> None:
-    if on:
-        os.environ[NOBATCH_ENV] = "1"
-    else:
-        os.environ.pop(NOBATCH_ENV, None)
 
 
 def _time_run(config, traces, scheduler: str, workload: str) -> float:
@@ -79,12 +69,8 @@ def run_bench(
     timing.
 
     With ``trace_counters`` the report additionally embeds
-    ``kernel_counters``: the engine's own attribution for one cold
-    (first-sighting) fast run -- fast-forward runs taken, memo hit
-    rate, event/instruction totals -- plus the batch layer's
-    record/replay tallies from the timed repeats, so a regression
-    report arrives with its own diagnosis (did ff stop taking runs?
-    did replay fall back?).  The extra run happens after all timing.
+    ``kernel_counters``: the event and instruction totals of one
+    traced fast run, taken after all timing.
     """
     if scale not in SCALES:
         raise ValueError(
@@ -103,9 +89,6 @@ def run_bench(
     traces = suite.generate_mix(transactions, seed=seed)
     events = sum(len(trace) for trace in traces)
     saved = os.environ.get(ENV_VAR)
-    saved_nobatch = os.environ.get(NOBATCH_ENV)
-    from repro.sim import batch as batch_replay
-    batch_replay.reset_registry()
     bench_span = obs.span(
         "perf.bench", scale=scale, workload=workload,
         cores=config.num_cores)
@@ -113,7 +96,6 @@ def run_bench(
         with bench_span:
             # Warm both paths and check parity while doing so.
             with obs.span("perf.warmup"):
-                _set_nobatch(False)
                 _set_reference(False)
                 fast_result = simulate(
                     config, traces, "base", workload)
@@ -126,68 +108,35 @@ def run_bench(
                     "fast and reference paths disagree; fix parity "
                     "before benchmarking (run the tests in "
                     "tests/test_parity.py)")
-            # Timed repeats.  The batch layer sees the fast runs as
-            # identical re-executions: the first timed repeat records,
-            # the rest replay -- keeping the min therefore reports the
-            # steady (replayed) throughput, which is what sweep reruns
-            # get.  The nobatch series times the same kernel with the
-            # layer disabled (the pre-batch fast path).
+            # Timed repeats, interleaved so host-speed drift hits both
+            # series alike.
             fast_wall = []
-            nobatch_wall = []
             ref_wall = []
             with obs.span("perf.timed", repeats=max(1, repeats)):
                 for _ in range(max(1, repeats)):
                     _set_reference(False)
                     fast_wall.append(
                         _time_run(config, traces, "base", workload))
-                    _set_nobatch(True)
-                    nobatch_wall.append(
-                        _time_run(config, traces, "base", workload))
-                    _set_nobatch(False)
                     _set_reference(True)
                     ref_wall.append(
                         _time_run(config, traces, "base", workload))
-            # A replayed run must still be byte-identical to the
-            # reference (the timed repeats discarded their results).
             _set_reference(False)
-            replay_result = simulate(config, traces, "base", workload)
-            if replay_result.to_dict() != ref_result.to_dict():
-                raise AssertionError(
-                    "a batch-replayed run diverged from the reference; "
-                    "fix repro.sim.batch before benchmarking")
             with obs.span("perf.schedulers"):
                 per_scheduler = {
                     name: round(
                         _time_run(config, traces, name, workload), 4)
                     for name in schedulers
                 }
-            # Snapshot the timed phase's batch tallies before the
-            # optional traced run below resets the registry.
-            registry = batch_replay.registry()
-            batch_counts = {
-                "recordings": registry.recordings,
-                "replays": registry.replays,
-                "fallbacks": registry.fallbacks,
-                "aborts": registry.aborts,
-            }
             kernel_counters = None
             if trace_counters:
                 kernel_counters = _traced_kernel_counters(
                     config, traces, workload)
-                kernel_counters.update(
-                    {f"batch_{k}": v for k, v in batch_counts.items()}
-                )
     finally:
         if saved is None:
             os.environ.pop(ENV_VAR, None)
         else:
             os.environ[ENV_VAR] = saved
-        if saved_nobatch is None:
-            os.environ.pop(NOBATCH_ENV, None)
-        else:
-            os.environ[NOBATCH_ENV] = saved_nobatch
     fast_s = min(fast_wall)
-    nobatch_s = min(nobatch_wall)
     ref_s = min(ref_wall)
     report: Dict[str, object] = {
         "bench": "sim_kernel",
@@ -203,17 +152,11 @@ def run_bench(
             "wall_s": round(fast_s, 4),
             "events_per_s": round(events / fast_s),
         },
-        "fast_nobatch": {
-            "wall_s": round(nobatch_s, 4),
-            "events_per_s": round(events / nobatch_s),
-        },
         "reference": {
             "wall_s": round(ref_s, 4),
             "events_per_s": round(events / ref_s),
         },
         "speedup": round(ref_s / fast_s, 3),
-        "batch_speedup": round(nobatch_s / fast_s, 3),
-        "batch": batch_counts,
         "schedulers_wall_s": per_scheduler,
         "python": platform.python_version(),
         "timestamp": time.time(),
@@ -225,32 +168,21 @@ def run_bench(
 
 def _traced_kernel_counters(config, traces, workload: str
                             ) -> Dict[str, object]:
-    """Kernel self-attribution for one cold fast run.
+    """Kernel self-attribution for one fast run.
 
-    Resets the batch registry so the run is a first sighting -- the
-    interpreting kernel with hit-run fast-forwarding, not a memoized
-    replay -- and harvests the engine's ``sim.run`` span counters
-    through a private in-memory tracer (no sink, no effect on any
-    ambient ``REPRO_TRACE``).
+    Harvests the engine's ``sim.run`` span counters through a private
+    in-memory tracer (no sink, no effect on any ambient
+    ``REPRO_TRACE``).
     """
-    from repro.sim import batch as batch_replay
-    batch_replay.reset_registry()
     tracer = obs.Tracer()
     with obs.use(tracer):
         simulate(config, traces, "base", workload)
     span = next(
         s for s in reversed(tracer.ring) if s.name == "sim.run")
     counters = span.counters
-    ff_runs = int(counters.get("ff_runs", 0))
-    ff_memo_hits = int(counters.get("ff_memo_hits", 0))
     return {
         "events": int(counters.get("events", 0)),
         "instructions": int(counters.get("instructions", 0)),
-        "ff_runs": ff_runs,
-        "ff_memo_hits": ff_memo_hits,
-        "ff_memo_hit_rate": (
-            round(ff_memo_hits / ff_runs, 4) if ff_runs else 0.0
-        ),
     }
 
 
@@ -334,12 +266,7 @@ def profile_kernel(
     cores: Optional[int] = None,
     top: int = 25,
 ) -> str:
-    """cProfile one fast-path run; returns the top-``top`` report.
-
-    The registry is reset first so the profiled run is a *first*
-    sighting: the interpreting kernel (scalar loops plus hit-run
-    fast-forwarding) is what's measured, not a memoized replay of it.
-    """
+    """cProfile one fast-path run; returns the top-``top`` report."""
     import cProfile
     import io
     import pstats
@@ -348,8 +275,6 @@ def profile_kernel(
         else SCALES[scale](num_cores=cores)
     suite = WORKLOADS[workload](config.l1i_blocks, seed)
     traces = suite.generate_mix(transactions, seed=seed)
-    from repro.sim import batch as batch_replay
-    batch_replay.reset_registry()
     profiler = cProfile.Profile()
     profiler.enable()
     simulate(config, traces, "base", workload)
@@ -375,16 +300,6 @@ def format_report(report: Dict[str, object]) -> str:
         f"  speedup:   x{report['speedup']:.2f} "
         f"(parity {'OK' if report['parity'] else 'FAILED'})",
     ]
-    nobatch = report.get("fast_nobatch")
-    if nobatch is not None:
-        batch = report.get("batch", {})
-        lines.append(
-            f"  no-batch:  {nobatch['wall_s']:.3f}s "
-            f"({nobatch['events_per_s']:,} events/s; batch layer "
-            f"x{report['batch_speedup']:.2f}, "
-            f"{batch.get('recordings', 0)} recorded / "
-            f"{batch.get('replays', 0)} replayed / "
-            f"{batch.get('fallbacks', 0)} fallbacks)")
     lines.append("  scheduler wall times (fast path):")
     for name, wall in report["schedulers_wall_s"].items():
         lines.append(f"    {name:7s} {wall:.3f}s")

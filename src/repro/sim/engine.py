@@ -24,9 +24,8 @@ from typing import Callable, List, Optional
 from repro import obs
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import SystemConfig
-from repro.fastpath import nobatch_mode, reference_mode
+from repro.fastpath import reference_mode
 from repro.prefetch.base import InstructionPrefetcher, NoPrefetcher
-from repro.sim import batch as batch_replay
 from repro.sim.results import RunResult
 from repro.sim.thread import TxnThread
 from repro.trace.trace import TransactionTrace
@@ -96,33 +95,6 @@ class SimulationEngine:
         # REPRO_SIM_CHECK=1 arms the invariant oracles; like the
         # kernel choice, the decision is latched at construction.
         self.checker = make_checker(self)
-        # Batch replay layer (repro.sim.batch).  Hit-run fast-forward
-        # needs the age kernel, no armed oracles, and no NOBATCH
-        # override; the per-core memo maps a run's distinct-block tuple
-        # -> (residency signature, resident slots).  The signature is
-        # out-of-band mutations (l1i.version minus the fills the age
-        # loops accounted into it) plus the fill counters of the sets
-        # the run involves -- all monotonic, so a sum compares equal
-        # iff none of them moved.  Whole-slice record/replay is
-        # stricter still -- batch_replay.attach() decides and installs
-        # a recorder or replayer as self._batch.
-        self._ff_enabled = (
-            self._age_kernel
-            and self.checker is None
-            and not nobatch_mode()
-        )
-        if self._ff_enabled:
-            self._ff_memos = [dict() for _ in range(config.num_cores)]
-        # Maintained by the age loops even when fast-forward is off
-        # (one int add per L1-I miss) so the signatures stay coherent.
-        self._ff_fill_base = [0] * config.num_cores
-        self._ff_set_fills = [
-            [0] * self._l1i_sets for _ in range(config.num_cores)
-        ]
-        self.ff_runs = 0
-        self.ff_memo_hits = 0
-        self._batch = None
-        batch_replay.attach(self)
 
     # ------------------------------------------------------------------
     # Event replay
@@ -136,6 +108,7 @@ class SimulationEngine:
         stop_on_switch: bool = False,
         miss_log: Optional[list] = None,
         stop_after_misses: int = 0,
+        min_progress: int = 0,
     ) -> int:
         """Replay up to ``max_events`` of ``thread`` on ``core``.
 
@@ -148,20 +121,18 @@ class SimulationEngine:
         detector must fire at the *start* of a cold segment, not after a
         whole slice has been fetched into the wrong core.
 
+        ``min_progress`` is STREX's forward-progress floor (Section
+        4.4.2): a switch requested before this call has executed that
+        many events is absorbed inside the loop.  The kernel clears
+        :attr:`switch_requested`, flushes the cycles so far into
+        ``core_time[core]`` and grants a fresh ``max_events`` budget --
+        exactly what re-entering this method with the same arguments
+        would do, so the result is byte-identical to one call per
+        absorbed switch.
+
         Returns:
             The number of events executed.
         """
-        batch = self._batch
-        if batch is not None:
-            executed = batch.dispatch(
-                core, thread, max_events, tag, stop_on_switch,
-                miss_log, stop_after_misses)
-            if executed is not None:
-                return executed
-            # Validation failed or the call shape left the recordable
-            # profile: the layer detaches itself permanently and the
-            # slice (and every later one) runs on the scalar loops.
-            self._batch = None
         if self._fast_kernel and not self.prefetcher_active:
             if self._age_kernel:
                 if miss_log is None and not stop_on_switch:
@@ -169,13 +140,13 @@ class SimulationEngine:
                         core, thread, max_events, tag)
                 return self._run_events_fast_age(
                     core, thread, max_events, tag, stop_on_switch,
-                    miss_log, stop_after_misses)
+                    miss_log, stop_after_misses, min_progress)
             return self._run_events_fast(core, thread, max_events, tag,
                                          stop_on_switch, miss_log,
-                                         stop_after_misses)
+                                         stop_after_misses, min_progress)
         return self._run_events_general(core, thread, max_events, tag,
                                         stop_on_switch, miss_log,
-                                        stop_after_misses)
+                                        stop_after_misses, min_progress)
 
     def _run_events_general(
         self,
@@ -186,6 +157,7 @@ class SimulationEngine:
         stop_on_switch: bool = False,
         miss_log: Optional[list] = None,
         stop_after_misses: int = 0,
+        min_progress: int = 0,
     ) -> int:
         """The general event loop (also the reference kernel).
 
@@ -196,8 +168,9 @@ class SimulationEngine:
         """
         trace = thread.trace
         iblocks, ilens, dblocks, dwrites = trace.event_columns()
+        n = len(iblocks)
         pos = thread.pos
-        end = min(len(iblocks), pos + max_events)
+        end = min(n, pos + max_events)
         hier = self.hier
         l1i = hier.l1i[core]
         l1i_access = l1i.access
@@ -246,7 +219,15 @@ class SimulationEngine:
                 )
             pos += 1
             if stop_on_switch and self.switch_requested:
-                break
+                if pos - start >= min_progress or pos == n:
+                    break
+                # Below the progress floor: absorb the switch.  The
+                # flush truncates cycles where a fresh call would.
+                self.switch_requested = False
+                self.core_time[core] += int(cycles)
+                cycles = 0.0
+                end = min(n, pos + max_events)
+                continue
             if stop_after_misses and miss_log is not None \
                     and len(miss_log) >= stop_after_misses:
                 break
@@ -266,6 +247,7 @@ class SimulationEngine:
         stop_on_switch: bool,
         miss_log: Optional[list],
         stop_after_misses: int,
+        min_progress: int,
     ) -> int:
         """Specialized loop: inlined L1 probes, no prefetcher.
 
@@ -279,8 +261,9 @@ class SimulationEngine:
         """
         trace = thread.trace
         events = trace.packed_events(self._base_cpi, self._l1i_sets)
+        n = len(events)
         pos = thread.pos
-        end = min(len(events), pos + max_events)
+        end = min(n, pos + max_events)
         start = pos
         hier = self.hier
         l1i = hier.l1i[core]
@@ -364,7 +347,15 @@ class SimulationEngine:
                     )
             pos += 1
             if stop_on_switch and self.switch_requested:
-                break
+                if pos - start >= min_progress or pos == n:
+                    break
+                # Below the progress floor: absorb the switch.  The
+                # flush truncates cycles where a fresh call would.
+                self.switch_requested = False
+                self.core_time[core] += int(cycles)
+                cycles = 0.0
+                end = min(n, pos + max_events)
+                continue
             if stop_after_misses and miss_log is not None \
                     and len(miss_log) >= stop_after_misses:
                 break
@@ -452,19 +443,7 @@ class SimulationEngine:
         ordered exactly as in :meth:`_run_events_general`.  With no
         early-exit conditions the event walk is a ``for`` over a list
         slice -- no per-event index arithmetic at all.
-
-        When the trace has precomputed hit runs and fast-forwarding is
-        enabled, the slice is delegated to
-        :meth:`_run_events_tight_age_ff`, which retires whole
-        instruction-only runs in bulk and falls back to this scalar
-        walk chunk by chunk.
         """
-        if self._ff_enabled:
-            tables = thread.trace.run_tables(
-                self._base_cpi, self._l1i_sets)
-            if tables is not None:
-                return self._run_events_tight_age_ff(
-                    core, thread, max_events, tag, tables)
         (l1i, i_where, i_slot_blocks, i_tags, i_set_len,
          i_assoc, i_pol, i_ages, i_promote, hops_row, lat2_row,
          d_where_get, d_tags, d_pol, d_mode, d_ages, l1d_stats,
@@ -478,7 +457,6 @@ class SimulationEngine:
         i_victim_cb = l1i.victim_callback
         i_where_get = i_where.get
         i_tick = i_pol._tick
-        set_fills = self._ff_set_fills[core]
         pos = thread.pos
         end = min(len(events), pos + max_events)
         # The loop cannot exit early, so the slice's instruction count
@@ -505,7 +483,6 @@ class SimulationEngine:
             else:
                 # L1-I miss: fill (evicting by oldest age) ...
                 i_misses += 1
-                set_fills[iset] += 1
                 base = iset * i_assoc
                 if i_set_len[iset] < i_assoc:
                     slot = i_slot_blocks.index(None, base,
@@ -603,369 +580,12 @@ class SimulationEngine:
         i_stats.hits += i_hits
         i_stats.misses += i_misses
         i_stats.evictions += i_evictions
-        # Bulk mutation-version accounting: each inline fill changed
-        # L1-I residency once (repro.sim.batch keys memos on this).
-        l1i.version += i_misses
-        self._ff_fill_base[core] += i_misses
         l1d_stats.hits += d_hits
         # Exactly one L2 message crosses the torus per L1-I miss.
         self.hier.l2_demand_traffic += i_misses
         noc = self.hier.noc
         noc.messages += i_misses
         noc.total_hops += noc_hops
-        thread.pos = end
-        thread.instructions_done += instructions
-        self.total_instructions += instructions
-        self.core_time[core] += int(cycles)
-        return end - pos
-
-    def _run_events_tight_age_ff(
-        self,
-        core: int,
-        thread: TxnThread,
-        max_events: int,
-        tag: int,
-        run_tables: tuple,
-    ) -> int:
-        """:meth:`_run_events_tight_age` with hit-run fast-forwarding.
-
-        ``run_tables`` is the trace's precomputed
-        :meth:`~repro.trace.trace.TransactionTrace.run_tables` pair:
-        ``next_ff`` gives the next fast-forward candidate at or after
-        any position, so events outside runs replay on the verbatim
-        scalar chunks below; at a candidate, if every distinct block of
-        the run is L1-I resident the whole run retires with bulk
-        accounting -- per-event cycle terms are still accumulated
-        sequentially (float addition is non-associative), hits are bulk
-        counted, and under MRU promotion each block's age becomes the
-        stamp of its *last* occurrence (``run_start_tick + offset``)
-        with the tick advanced by the run length, exactly the scalar
-        outcome.  A run only touches resident blocks, so no fill,
-        eviction, victim callback, L2 or data-side effect is skipped.
-
-        The residency probe is memoized per distinct-block tuple under
-        a per-set residency signature: the sum of the involved sets'
-        fill counters plus the cache's out-of-band mutation count
-        (:attr:`Cache.version` net of the fills the age loops account
-        into it -- flushes, invalidates, tag rewrites and any public
-        access land there).  All components are monotonic, so the sum
-        compares equal iff nothing touching an involved set changed;
-        fills to *other* sets leave the memo valid.  Because the key
-        is the run's content rather than its trace position, a
-        successor thread replaying the same code-path phase against
-        the same warm L1-I (the stratified-execution common case)
-        reuses the predecessor's probe.
-        """
-        (l1i, i_where, i_slot_blocks, i_tags, i_set_len,
-         i_assoc, i_pol, i_ages, i_promote, hops_row, lat2_row,
-         d_where_get, d_tags, d_pol, d_mode, d_ages, l1d_stats,
-         l1d_hit_latency,
-         l2_wheres, l2_blocks, l2_tagsl, l2_set_len, l2_pols,
-         l2_agesl, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
-         l2_mask, l2_promote, num_cores, dram_access, directory_get,
-         access_data) = self._age_statics[core]
-        trace = thread.trace
-        events = trace.packed_events(self._base_cpi, self._l1i_sets)
-        next_ff, runs = run_tables
-        i_victim_cb = l1i.victim_callback
-        i_where_get = i_where.get
-        i_tick = i_pol._tick
-        pos = thread.pos
-        end = min(len(events), pos + max_events)
-        prefix = trace.instruction_prefix()
-        instructions = prefix[end] - prefix[pos]
-        ff_memo = self._ff_memos[core]
-        ff_memo_get = ff_memo.get
-        set_fills = self._ff_set_fills[core]
-        # Out-of-band mutation count: version bumps not accounted by
-        # the age loops' bulk fill updates (flush, invalidate, tag
-        # rewrites, any public access).  Constant within the slice.
-        shock = l1i.version - self._ff_fill_base[core]
-        cycles = 0.0
-        i_hits = 0
-        i_misses = 0
-        i_evictions = 0
-        d_hits = 0
-        noc_hops = 0
-        ff_runs = 0
-        ff_memo_hits = 0
-
-        p = pos
-        while p < end:
-            nf = next_ff[p]
-            if nf > p:
-                # Scalar chunk up to the next candidate run (or the
-                # slice end); the body is the tight loop's, verbatim.
-                stop = nf if nf < end else end
-                for iblock, icycles, ilen, dblock, dwrite, iset in \
-                        events[p:stop]:
-                    cycles += icycles
-                    slot = i_where_get(iblock)
-                    if slot is not None:
-                        i_hits += 1
-                        i_tags[slot] = tag
-                        if i_promote:
-                            i_ages[slot] = i_tick
-                            i_tick += 1
-                    else:
-                        i_misses += 1
-                        set_fills[iset] += 1
-                        base = iset * i_assoc
-                        if i_set_len[iset] < i_assoc:
-                            slot = i_slot_blocks.index(None, base,
-                                                       base + i_assoc)
-                            i_set_len[iset] += 1
-                        else:
-                            segment = i_ages[base:base + i_assoc]
-                            slot = base + segment.index(min(segment))
-                            victim = i_slot_blocks[slot]
-                            if i_victim_cb is not None:
-                                i_victim_cb(victim, i_tags[slot])
-                            i_evictions += 1
-                            del i_where[victim]
-                        i_slot_blocks[slot] = iblock
-                        i_tags[slot] = tag
-                        i_where[iblock] = slot
-                        i_ages[slot] = i_tick
-                        i_tick += 1
-                        sid = iblock % num_cores
-                        noc_hops += hops_row[sid]
-                        latency = lat2_row[sid]
-                        where2 = l2_wheres[sid]
-                        slot2 = where2.get(iblock)
-                        if slot2 is not None:
-                            l2_statsl[sid].hits += 1
-                            if l2_promote:
-                                pol2 = l2_pols[sid]
-                                l2_agesl[sid][slot2] = pol2._tick
-                                pol2._tick += 1
-                            l2_tagsl[sid][slot2] = 0
-                        else:
-                            stats2 = l2_statsl[sid]
-                            stats2.misses += 1
-                            set2 = (iblock & l2_mask) if l2_pot \
-                                else (iblock % l2_nsets)
-                            base2 = set2 * l2_assoc
-                            blocks2 = l2_blocks[sid]
-                            if l2_set_len[sid][set2] < l2_assoc:
-                                slot2 = blocks2.index(
-                                    None, base2, base2 + l2_assoc)
-                                l2_set_len[sid][set2] += 1
-                            else:
-                                ages2 = l2_agesl[sid]
-                                segment = ages2[base2:base2 + l2_assoc]
-                                slot2 = base2 + segment.index(
-                                    min(segment))
-                                victim = blocks2[slot2]
-                                cb = l2_cbs[sid]
-                                if cb is not None:
-                                    cb(victim, l2_tagsl[sid][slot2])
-                                stats2.evictions += 1
-                                del where2[victim]
-                            blocks2[slot2] = iblock
-                            l2_tagsl[sid][slot2] = 0
-                            where2[iblock] = slot2
-                            pol2 = l2_pols[sid]
-                            l2_agesl[sid][slot2] = pol2._tick
-                            pol2._tick += 1
-                            latency += dram_access(iblock)
-                        cycles += latency
-                    if dblock >= 0:
-                        slot = d_where_get(dblock)
-                        entry = directory_get(dblock) \
-                            if slot is not None else None
-                        if entry is None:
-                            cycles += (
-                                access_data(core, dblock, dwrite)
-                                - l1d_hit_latency
-                            )
-                        elif (
-                            (entry.owner == core
-                             and len(entry.sharers) == 1)
-                            if dwrite else
-                            (core in entry.sharers
-                             and (entry.owner is None
-                                  or entry.owner == core))
-                        ):
-                            d_hits += 1
-                            d_tags[slot] = 0
-                            if d_mode == "age":
-                                tick = d_pol._tick
-                                d_ages[slot] = tick
-                                d_pol._tick = tick + 1
-                            elif d_mode == "zero":
-                                d_ages[slot] = 0
-                            elif d_mode == "call":
-                                d_pol.hit_slot(slot)
-                        else:
-                            cycles += (
-                                access_data(core, dblock, dwrite)
-                                - l1d_hit_latency
-                            )
-                p = stop
-                continue
-            # A candidate run starts exactly at p.
-            (rend, run_cycles, distinct, last_offs, n_run,
-             run_sets) = runs[p]
-            took = False
-            if rend <= end:
-                sig = shock
-                for fset in run_sets:
-                    sig += set_fills[fset]
-                memo = ff_memo_get(distinct)
-                if memo is not None and memo[0] == sig:
-                    slots = memo[1]
-                    took = True
-                    ff_memo_hits += 1
-                else:
-                    slots = []
-                    slots_append = slots.append
-                    for block in distinct:
-                        fslot = i_where_get(block)
-                        if fslot is None:
-                            break
-                        slots_append(fslot)
-                    else:
-                        took = True
-                        ff_memo[distinct] = (sig, slots)
-            if took:
-                # Every block resident: the run is all hits, so no
-                # state beyond ages/tags/stats can change -- retire it.
-                ff_runs += 1
-                for icycles in run_cycles:
-                    cycles += icycles
-                i_hits += n_run
-                if i_promote:
-                    for fslot, off in zip(slots, last_offs):
-                        i_ages[fslot] = i_tick + off
-                    i_tick += n_run
-                for fslot in slots:
-                    i_tags[fslot] = tag
-                p = rend
-                continue
-            # Run not fully resident (or it straddles the slice end):
-            # replay it scalar, then resume the run walk after it.
-            stop = rend if rend < end else end
-            for iblock, icycles, ilen, dblock, dwrite, iset in \
-                    events[p:stop]:
-                cycles += icycles
-                slot = i_where_get(iblock)
-                if slot is not None:
-                    i_hits += 1
-                    i_tags[slot] = tag
-                    if i_promote:
-                        i_ages[slot] = i_tick
-                        i_tick += 1
-                else:
-                    i_misses += 1
-                    set_fills[iset] += 1
-                    base = iset * i_assoc
-                    if i_set_len[iset] < i_assoc:
-                        slot = i_slot_blocks.index(None, base,
-                                                   base + i_assoc)
-                        i_set_len[iset] += 1
-                    else:
-                        segment = i_ages[base:base + i_assoc]
-                        slot = base + segment.index(min(segment))
-                        victim = i_slot_blocks[slot]
-                        if i_victim_cb is not None:
-                            i_victim_cb(victim, i_tags[slot])
-                        i_evictions += 1
-                        del i_where[victim]
-                    i_slot_blocks[slot] = iblock
-                    i_tags[slot] = tag
-                    i_where[iblock] = slot
-                    i_ages[slot] = i_tick
-                    i_tick += 1
-                    sid = iblock % num_cores
-                    noc_hops += hops_row[sid]
-                    latency = lat2_row[sid]
-                    where2 = l2_wheres[sid]
-                    slot2 = where2.get(iblock)
-                    if slot2 is not None:
-                        l2_statsl[sid].hits += 1
-                        if l2_promote:
-                            pol2 = l2_pols[sid]
-                            l2_agesl[sid][slot2] = pol2._tick
-                            pol2._tick += 1
-                        l2_tagsl[sid][slot2] = 0
-                    else:
-                        stats2 = l2_statsl[sid]
-                        stats2.misses += 1
-                        set2 = (iblock & l2_mask) if l2_pot \
-                            else (iblock % l2_nsets)
-                        base2 = set2 * l2_assoc
-                        blocks2 = l2_blocks[sid]
-                        if l2_set_len[sid][set2] < l2_assoc:
-                            slot2 = blocks2.index(None, base2,
-                                                  base2 + l2_assoc)
-                            l2_set_len[sid][set2] += 1
-                        else:
-                            ages2 = l2_agesl[sid]
-                            segment = ages2[base2:base2 + l2_assoc]
-                            slot2 = base2 + segment.index(min(segment))
-                            victim = blocks2[slot2]
-                            cb = l2_cbs[sid]
-                            if cb is not None:
-                                cb(victim, l2_tagsl[sid][slot2])
-                            stats2.evictions += 1
-                            del where2[victim]
-                        blocks2[slot2] = iblock
-                        l2_tagsl[sid][slot2] = 0
-                        where2[iblock] = slot2
-                        pol2 = l2_pols[sid]
-                        l2_agesl[sid][slot2] = pol2._tick
-                        pol2._tick += 1
-                        latency += dram_access(iblock)
-                    cycles += latency
-                if dblock >= 0:
-                    slot = d_where_get(dblock)
-                    entry = directory_get(dblock) \
-                        if slot is not None else None
-                    if entry is None:
-                        cycles += (
-                            access_data(core, dblock, dwrite)
-                            - l1d_hit_latency
-                        )
-                    elif (
-                        (entry.owner == core
-                         and len(entry.sharers) == 1)
-                        if dwrite else
-                        (core in entry.sharers
-                         and (entry.owner is None
-                              or entry.owner == core))
-                    ):
-                        d_hits += 1
-                        d_tags[slot] = 0
-                        if d_mode == "age":
-                            tick = d_pol._tick
-                            d_ages[slot] = tick
-                            d_pol._tick = tick + 1
-                        elif d_mode == "zero":
-                            d_ages[slot] = 0
-                        elif d_mode == "call":
-                            d_pol.hit_slot(slot)
-                    else:
-                        cycles += (
-                            access_data(core, dblock, dwrite)
-                            - l1d_hit_latency
-                        )
-            p = stop
-
-        i_pol._tick = i_tick
-        i_stats = l1i.stats
-        i_stats.hits += i_hits
-        i_stats.misses += i_misses
-        i_stats.evictions += i_evictions
-        l1i.version += i_misses
-        self._ff_fill_base[core] += i_misses
-        l1d_stats.hits += d_hits
-        self.hier.l2_demand_traffic += i_misses
-        noc = self.hier.noc
-        noc.messages += i_misses
-        noc.total_hops += noc_hops
-        self.ff_runs += ff_runs
-        self.ff_memo_hits += ff_memo_hits
         thread.pos = end
         thread.instructions_done += instructions
         self.total_instructions += instructions
@@ -981,21 +601,14 @@ class SimulationEngine:
         stop_on_switch: bool,
         miss_log: Optional[list],
         stop_after_misses: int,
+        min_progress: int,
     ) -> int:
         """:meth:`_run_events_tight_age` plus the monitored features.
 
-        Handles STREX switch monitoring and SLICC miss logging/bounding
-        with the same fully inlined cache machinery; only the per-event
-        epilogue differs from the tight loop.
-
-        Hit-run fast-forwarding applies here too, with extra guards: a
-        fully resident run is all L1-I hits with no data-side events,
-        so it can neither append to ``miss_log`` nor fire the victim
-        callback that sets ``switch_requested`` -- monitoring state
-        cannot change *during* the run.  It may already be armed at the
-        run's start, though (the scalar loop would break after one more
-        event), so a run is only retired in bulk when neither break
-        condition currently holds.
+        Handles STREX switch monitoring (with its progress floor) and
+        SLICC miss logging/bounding with the same fully inlined cache
+        machinery; only the per-event epilogue differs from the tight
+        loop.
         """
         (l1i, i_where, i_slot_blocks, i_tags, i_set_len,
          i_assoc, i_pol, i_ages, i_promote, hops_row, lat2_row,
@@ -1010,19 +623,10 @@ class SimulationEngine:
         i_victim_cb = l1i.victim_callback
         i_where_get = i_where.get
         i_tick = i_pol._tick
+        n = len(events)
         pos = thread.pos
-        end = min(len(events), pos + max_events)
+        end = min(n, pos + max_events)
         start = pos
-        set_fills = self._ff_set_fills[core]
-        next_ff = None
-        if self._ff_enabled:
-            tables = trace.run_tables(self._base_cpi, self._l1i_sets)
-            if tables is not None:
-                next_ff, runs = tables
-                prefix = trace.instruction_prefix()
-                ff_memo = self._ff_memos[core]
-                ff_memo_get = ff_memo.get
-                shock = l1i.version - self._ff_fill_base[core]
         cycles = 0.0
         instructions = 0
         i_hits = 0
@@ -1030,54 +634,8 @@ class SimulationEngine:
         i_evictions = 0
         d_hits = 0
         noc_hops = 0
-        ff_runs = 0
-        ff_memo_hits = 0
 
         while pos < end:
-            if next_ff is not None and next_ff[pos] == pos:
-                (rend, run_cycles, distinct, last_offs, n_run,
-                 run_sets) = runs[pos]
-                if rend <= end \
-                        and not (stop_on_switch
-                                 and self.switch_requested) \
-                        and not (stop_after_misses
-                                 and miss_log is not None
-                                 and len(miss_log)
-                                 >= stop_after_misses):
-                    sig = shock
-                    for fset in run_sets:
-                        sig += set_fills[fset]
-                    memo = ff_memo_get(distinct)
-                    if memo is not None and memo[0] == sig:
-                        slots = memo[1]
-                        took = True
-                        ff_memo_hits += 1
-                    else:
-                        took = False
-                        slots = []
-                        slots_append = slots.append
-                        for block in distinct:
-                            fslot = i_where_get(block)
-                            if fslot is None:
-                                break
-                            slots_append(fslot)
-                        else:
-                            took = True
-                            ff_memo[distinct] = (sig, slots)
-                    if took:
-                        ff_runs += 1
-                        for icycles in run_cycles:
-                            cycles += icycles
-                        instructions += prefix[rend] - prefix[pos]
-                        i_hits += n_run
-                        if i_promote:
-                            for fslot, off in zip(slots, last_offs):
-                                i_ages[fslot] = i_tick + off
-                            i_tick += n_run
-                        for fslot in slots:
-                            i_tags[fslot] = tag
-                        pos = rend
-                        continue
             iblock, icycles, ilen, dblock, dwrite, iset = events[pos]
             instructions += ilen
             cycles += icycles
@@ -1090,7 +648,6 @@ class SimulationEngine:
                     i_tick += 1
             else:
                 i_misses += 1
-                set_fills[iset] += 1
                 base = iset * i_assoc
                 if i_set_len[iset] < i_assoc:
                     slot = i_slot_blocks.index(None, base,
@@ -1185,7 +742,15 @@ class SimulationEngine:
                     )
             pos += 1
             if stop_on_switch and self.switch_requested:
-                break
+                if pos - start >= min_progress or pos == n:
+                    break
+                # Below the progress floor: absorb the switch.  The
+                # flush truncates cycles where a fresh call would.
+                self.switch_requested = False
+                self.core_time[core] += int(cycles)
+                cycles = 0.0
+                end = min(n, pos + max_events)
+                continue
             if stop_after_misses and miss_log is not None \
                     and len(miss_log) >= stop_after_misses:
                 break
@@ -1195,15 +760,11 @@ class SimulationEngine:
         i_stats.hits += i_hits
         i_stats.misses += i_misses
         i_stats.evictions += i_evictions
-        l1i.version += i_misses
-        self._ff_fill_base[core] += i_misses
         l1d_stats.hits += d_hits
         self.hier.l2_demand_traffic += i_misses
         noc = self.hier.noc
         noc.messages += i_misses
         noc.total_hops += noc_hops
-        self.ff_runs += ff_runs
-        self.ff_memo_hits += ff_memo_hits
         thread.pos = pos
         thread.instructions_done += instructions
         self.total_instructions += instructions
@@ -1259,39 +820,12 @@ class SimulationEngine:
             ),
         )
         with span as sp:
-            if sp.armed:
-                reg = batch_replay.registry()
-                pre = (
-                    reg.recordings,
-                    reg.replays,
-                    reg.fallbacks,
-                    reg.aborts,
-                )
             result = self._run(workload_name)
             if sp.armed:
                 sp.add(
                     "events", sum(t.pos for t in self.threads)
                 )
                 sp.add("instructions", self.total_instructions)
-                sp.add("ff_runs", self.ff_runs)
-                sp.add("ff_memo_hits", self.ff_memo_hits)
-                post = (
-                    reg.recordings,
-                    reg.replays,
-                    reg.fallbacks,
-                    reg.aborts,
-                )
-                for name, delta in zip(
-                    (
-                        "batch_recordings",
-                        "batch_replays",
-                        "batch_fallbacks",
-                        "batch_aborts",
-                    ),
-                    (p - q for p, q in zip(post, pre)),
-                ):
-                    if delta:
-                        sp.add(name, delta)
                 tracer = obs.tracer()
                 if tracer is not None:
                     metrics = tracer.metrics
@@ -1313,36 +847,25 @@ class SimulationEngine:
         heapq.heapify(heap)
         self._in_heap = {core for _, core in heap}
         checker = self.checker
-        # The recorder (if attached) hooks the hierarchy's L2 access;
-        # keep a reference so it is unhooked -- and its recording
-        # stored or discarded -- however this run exits, even if the
-        # layer detaches itself mid-run.
-        batch = self._batch
 
-        try:
-            while self.finished_threads < len(self.threads):
-                if not heap:
-                    raise RuntimeError(
-                        "deadlock: unfinished threads but no runnable"
-                        " core"
-                    )
-                _, core = heapq.heappop(heap)
-                self._in_heap.discard(core)
-                if not scheduler.has_work(core):
-                    continue
-                scheduler.run_slice(core)
-                if checker is not None:
-                    checker.after_slice(core)
-                if scheduler.has_work(core):
-                    self._activate(heap, core)
-                # Schedulers may have handed work to other (parked)
-                # cores.
-                for other in scheduler.drain_wakeups():
-                    if scheduler.has_work(other):
-                        self._activate(heap, other)
-        finally:
-            if batch is not None:
-                batch.finish()
+        while self.finished_threads < len(self.threads):
+            if not heap:
+                raise RuntimeError(
+                    "deadlock: unfinished threads but no runnable core"
+                )
+            _, core = heapq.heappop(heap)
+            self._in_heap.discard(core)
+            if not scheduler.has_work(core):
+                continue
+            scheduler.run_slice(core)
+            if checker is not None:
+                checker.after_slice(core)
+            if scheduler.has_work(core):
+                self._activate(heap, core)
+            # Schedulers may have handed work to other (parked) cores.
+            for other in scheduler.drain_wakeups():
+                if scheduler.has_work(other):
+                    self._activate(heap, other)
 
         return self._collect(workload_name)
 

@@ -1,9 +1,8 @@
 """repro.svc — persistent sweep service with warm workers.
 
 Every ad-hoc ``repro sweep`` pays full cold start: fork-per-cell
-workers rebuild workload traces, run tables, and the batch
-record/replay registry, discarding exactly the warm state the kernel
-layers exist to exploit.  This package keeps that state alive: a
+workers rebuild workload traces and their derived views.  This
+package keeps that state alive: a
 supervisor (:mod:`repro.svc.supervisor`) plus N long-lived worker
 processes (:mod:`repro.svc.worker`) serve jobs from a bounded,
 priority-aware, file-backed queue (:mod:`repro.svc.queue`), with a

@@ -17,8 +17,7 @@ import time
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
-from repro.exp.spec import RunSpec, SweepSpec
-from repro.sim import validate_run_request
+from repro.exp.spec import RunSpec, SweepSpec, validate_specs
 from repro.svc.queue import (
     DEFAULT_PRIORITY,
     JobQueue,
@@ -49,8 +48,8 @@ def submit_job(svc_root: Union[Path, str],
     job record pins the exact cell list) or an iterable of
     :class:`RunSpec`.  ``repeat`` asks the worker to re-execute each
     cell that many times in total — the extra passes bypass the cache
-    read (results are still written, byte-identically) purely to prime
-    the batch record/replay registry: sight, record, replay.
+    read (results are still written, byte-identically) and reuse the
+    worker's warm trace memo.
     ``force`` re-executes even cached cells once.  Backpressure:
     at queue capacity this raises
     :class:`~repro.svc.queue.QueueFull` unless ``block`` is set.
@@ -64,14 +63,7 @@ def submit_job(svc_root: Union[Path, str],
         raise ValueError("job has no cells")
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
-    for spec in spec_list:
-        try:
-            spec.build_config()
-            validate_run_request(spec.scheduler, spec.prefetcher,
-                                 spec.team_size)
-        except ValueError as exc:
-            raise ValueError(
-                f"cell {spec.describe()} is invalid: {exc}") from exc
+    validate_specs(spec_list)
     svc_root = Path(svc_root)
     queue = JobQueue(svc_root / "queue")
     payload = {
@@ -173,8 +165,6 @@ def service_status(svc_root: Union[Path, str]) -> dict:
             "executed": beat.get("executed", 0),
             "failures": beat.get("failures", 0),
             "warm_hits": beat.get("warm_hits", 0),
-            "batch_replays": beat.get("batch_replays", 0),
-            "batch_records": beat.get("batch_records", 0),
             "repeats": beat.get("repeats", 0),
             "trace_memo_hits": beat.get("trace_memo_hits", 0),
             "trace_memo_misses": beat.get("trace_memo_misses", 0),
@@ -203,7 +193,6 @@ def service_status(svc_root: Union[Path, str]) -> dict:
                 "executed": record.get("executed"),
                 "warm_hits": record.get("warm_hits"),
                 "warm_rate": record.get("warm_rate"),
-                "batch_replays": record.get("batch_replays"),
                 "queue_wait_s": record.get("queue_wait_s"),
                 "wall_s": record.get("wall_s"),
             })
@@ -263,7 +252,6 @@ def format_status(status: dict) -> str:
         lines.append(
             f"    cells={worker['cells']} hits={worker['cache_hits']} "
             f"executed={worker['executed']} warm={worker['warm_hits']} "
-            f"batch_replays={worker['batch_replays']} "
             f"memo={worker['trace_memo_hits']}/"
             f"{worker['trace_memo_hits'] + worker['trace_memo_misses']} "
             f"restarts={worker['restarts']}")
@@ -272,7 +260,6 @@ def format_status(status: dict) -> str:
         if row["state"] in ("done", "failed"):
             label += (f" ({row['cells']} cells, "
                       f"{row.get('warm_hits') or 0} warm, "
-                      f"{row.get('batch_replays') or 0} batch replays, "
                       f"wall {row.get('wall_s') or 0:.3f}s)")
         lines.append(label)
     return "\n".join(lines)

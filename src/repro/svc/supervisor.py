@@ -22,11 +22,8 @@ Affinity routing is the warm-cache play: a cell is routed by a hash
 of exactly the identity the warm layers key on — the materialized
 config, the scheduler/team pair, and the trace-generation fields the
 runner's trace memo keys on — so identical (config, scheduler, trace)
-identities always land on the same worker.  The batch record/replay
-registry needs three sightings of one identity to reach replay
-(sight, record, replay); spreading those sightings across workers
-would reset the count, co-locating them is what converts repeat
-submissions into replay hits.
+identities always land on the same worker, whose trace memo then
+serves every repeat of that identity.
 """
 
 from __future__ import annotations
@@ -76,12 +73,10 @@ def affinity_identity(spec: RunSpec) -> str:
     """Canonical digest of the warm-state identity of a cell.
 
     Hashes exactly what the warm layers key on: the materialized
-    config and scheduler/team pair (the batch record/replay identity,
-    minus the trace digests which are themselves a pure function of
-    the generation fields) plus the trace-memo key fields.  The
-    prefetcher is deliberately excluded: it changes the simulation but
-    not the traces or run tables, so prefetcher variants of one cell
-    still share a worker's warm trace memo.
+    config and scheduler/team pair plus the trace-memo key fields.
+    The prefetcher is deliberately excluded: it changes the simulation
+    but not the traces, so prefetcher variants of one cell still share
+    a worker's warm trace memo.
     """
     config = spec.build_config()
     payload = {
@@ -283,7 +278,6 @@ class Supervisor:
                     "cell": cell.get("cell"), "job": cell.get("job"),
                     "key": cell.get("key"), "worker": index,
                     "status": "failed", "hit": False, "warm": False,
-                    "batch_replays": 0, "batch_records": 0,
                     "wall_s": 0.0, "attempts": attempts,
                     "error": (f"worker {index} died while running this "
                               f"cell {attempts} time(s)"),
@@ -331,7 +325,7 @@ class Supervisor:
                     sweep=job_id, shard=None))
                 cells[cell_id] = {
                     "key": key, "worker": None, "status": "done",
-                    "hit": True, "warm": True, "batch_replays": 0,
+                    "hit": True, "warm": True,
                     "wall_s": 0.0, "attempts": 0, "error": None,
                 }
                 obs.metric_inc("svc.cells.precached")
@@ -348,7 +342,7 @@ class Supervisor:
                 })
             cells[cell_id] = {
                 "key": key, "worker": target, "status": "pending",
-                "hit": False, "warm": False, "batch_replays": 0,
+                "hit": False, "warm": False,
                 "wall_s": 0.0, "attempts": 1, "error": None,
             }
             obs.metric_inc("svc.cells.dispatched")
@@ -402,7 +396,6 @@ class Supervisor:
             worker=outcome.get("worker", cell.get("worker")),
             hit=bool(outcome.get("hit", False)),
             warm=bool(outcome.get("warm", False)),
-            batch_replays=int(outcome.get("batch_replays", 0)),
             wall_s=float(outcome.get("wall_s", 0.0)),
             attempts=int(outcome.get("attempts", cell.get("attempts", 1))),
             error=outcome.get("error"),
@@ -427,7 +420,6 @@ class Supervisor:
                          if c["status"] == "done" and not c.get("hit")),
             warm_hits=warm,
             warm_rate=round(warm / max(1, len(record["cells"])), 6),
-            batch_replays=sum(c.get("batch_replays", 0) for c in cells),
             wall_s=round(sum(c.get("wall_s", 0.0) for c in cells), 6),
         )
         record.pop("specs", None)  # only needed while cells can requeue
@@ -501,7 +493,7 @@ class Supervisor:
                     "cell": cell.get("cell"), "job": cell.get("job"),
                     "key": cell.get("key"), "worker": None,
                     "status": "failed", "hit": False, "warm": False,
-                    "batch_replays": 0, "wall_s": 0.0,
+                    "wall_s": 0.0,
                     "attempts": int(cell.get("attempts", 1)),
                     "error": "requeue budget spent across restarts",
                 })

@@ -13,11 +13,10 @@ A worker owns three spool directories under
 
 The process keeps every warm layer alive across cells, which is the
 entire point of the service: the runner's per-process trace memo
-(:func:`repro.exp.runner.trace_memo_stats`), the traces' derived run
-tables, and the batch record/replay registry
-(:func:`repro.sim.batch.registry`) all persist because cells run
-*inline* — a single long-lived :class:`~repro.exp.runner.Runner` with
-``jobs=1`` on a dedicated executor thread, not a fork per cell.
+(:func:`repro.exp.runner.trace_memo_stats`) and the traces' derived
+views persist because cells run *inline* — a single long-lived
+:class:`~repro.exp.runner.Runner` with ``jobs=1`` on a dedicated
+executor thread, not a fork per cell.
 
 Threading model: Python delivers signals to the main thread only, so
 the main thread runs the control loop (heartbeat file every
@@ -47,7 +46,6 @@ from repro.exp.cache import ResultCache
 from repro.exp.manifest import Manifest
 from repro.exp.runner import Runner, trace_memo_stats
 from repro.exp.spec import RunSpec
-from repro.sim import batch
 from repro.svc.queue import _atomic_write_json
 
 #: Seconds between heartbeat file rewrites.
@@ -65,8 +63,8 @@ def worker_dir(svc_root: Path, index: int) -> Path:
 class _NoReadCache(ResultCache):
     """Write-through cache whose reads always miss.
 
-    Forced repeats (``repro submit --repeat N``) re-execute a cell to
-    prime the batch record/replay registry; routing them through this
+    Forced repeats (``repro submit --repeat N``) re-execute a cell
+    against the worker's warm trace memo; routing them through this
     wrapper keeps the cache short-circuit from eating the repeat while
     every ``put`` still lands byte-identically in the real cache
     directory (same canonical serialization, atomic replace).
@@ -106,8 +104,7 @@ class Worker:
             timeout=timeout, retries=retries)
         self.counters: Dict[str, int] = {
             "cells": 0, "cache_hits": 0, "executed": 0, "failures": 0,
-            "warm_hits": 0, "batch_replays": 0, "batch_records": 0,
-            "repeats": 0,
+            "warm_hits": 0, "repeats": 0,
         }
         self._stop = threading.Event()
         self._current: Optional[str] = None
@@ -175,8 +172,7 @@ class Worker:
             })
             return
         self._current = cell.get("cell")
-        registry = batch.registry()
-        replays0, records0 = registry.replays, registry.recordings
+        memo_hits0 = trace_memo_stats()["hits"]
         start = time.perf_counter()
         error: Optional[str] = None
         hit = False
@@ -201,9 +197,10 @@ class Worker:
             except Exception as exc:  # noqa: BLE001 - reported upstream
                 error = f"{type(exc).__name__}: {exc}"
         wall = time.perf_counter() - start
-        replays = registry.replays - replays0
-        records = registry.recordings - records0
-        warm = error is None and (hit or replays > 0)
+        # Warm: served by the result cache, or ran on traces the
+        # worker's trace memo already held.
+        memo_hits = trace_memo_stats()["hits"] - memo_hits0
+        warm = error is None and (hit or memo_hits > 0)
         self.counters["cells"] += 1
         if error is not None:
             self.counters["failures"] += 1
@@ -213,8 +210,6 @@ class Worker:
             self.counters["executed"] += 1
         if warm:
             self.counters["warm_hits"] += 1
-        self.counters["batch_replays"] += replays
-        self.counters["batch_records"] += records
         obs.metric_inc("svc.cells.done")
         if warm:
             obs.metric_inc("svc.cells.warm")
@@ -228,8 +223,6 @@ class Worker:
             "error": error,
             "hit": hit,
             "warm": warm,
-            "batch_replays": replays,
-            "batch_records": records,
             "wall_s": round(wall, 6),
             "enqueued_s": cell.get("enqueued_s"),
             "attempts": int(cell.get("attempts", 1)),

@@ -18,20 +18,17 @@ lists or NumPy arrays, kept as given without copying.  The simulator's
 inner loops read plain-list views (list indexing is considerably
 faster than NumPy scalar extraction, and builtin ints keep results
 JSON-serializable), normalized lazily via :meth:`TransactionTrace.
-event_columns`; NumPy views stay available for analysis and feed the
-hit-run tables (:meth:`TransactionTrace.run_tables`).
+event_columns`; NumPy views stay available for analysis.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Minimum length (in events) of an instruction-only span for the
-#: engine's hit-run fast-forward to consider it.  Shorter spans are
-#: cheaper to replay scalar than to probe for residency.
+#: Minimum length (in events) of an instruction-only span that
+#: :meth:`TransactionTrace.run_tables` reports as a run.
 RUN_MIN_EVENTS = 4
 
 
@@ -59,7 +56,6 @@ class TransactionTrace:
         "_ilen_prefix",
         "_list_columns",
         "_run_tables",
-        "_content_key",
     )
 
     def __init__(
@@ -84,14 +80,13 @@ class TransactionTrace:
         # Lazily-built derived views, shared by every run of a batch:
         # the distinct-iblock set, packed per-event tuples keyed by
         # base CPI, L1-I set indices keyed by set count, plain-list
-        # column views, hit-run tables, and the content digest.
+        # column views, and hit-run tables.
         self._unique_iblocks: Optional[frozenset] = None
         self._packed_events: dict = {}
         self._set_indices: dict = {}
         self._ilen_prefix: Optional[list] = None
         self._list_columns: Optional[tuple] = None
         self._run_tables: dict = {}
-        self._content_key: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.iblocks)
@@ -135,28 +130,6 @@ class TransactionTrace:
             self._unique_iblocks = frozenset(self.event_columns()[0])
         return self._unique_iblocks
 
-    def content_key(self) -> str:
-        """Stable digest of the trace's identity and event columns.
-
-        Used by the batch replay registry to key recorded simulations
-        on trace *content* rather than object identity, so equal
-        workloads regenerated from the same seed share a recording.
-        Memoized (traces are immutable by convention).
-        """
-        digest = self._content_key
-        if digest is None:
-            h = hashlib.sha1()
-            h.update(
-                f"{self.txn_id}|{self.txn_type}|{len(self)}".encode())
-            for col in (self.iblocks, self.ilens,
-                        self.dblocks, self.dwrites):
-                arr = np.ascontiguousarray(
-                    np.asarray(col, dtype=np.int64))
-                h.update(arr.tobytes())
-            digest = h.hexdigest()
-            self._content_key = digest
-        return digest
-
     def footprint_units(self, blocks_per_unit: int) -> float:
         """Instruction footprint in L1-I size units (Table 3's metric)."""
         return len(self.unique_iblocks()) / blocks_per_unit
@@ -184,7 +157,11 @@ class TransactionTrace:
         return packed
 
     def run_tables(self, cpi: float, num_sets: int) -> Optional[tuple]:
-        """Hit-run tables for the engine's batch fast-forward.
+        """Hit-run tables: the trace's instruction-only spans.
+
+        The simulator no longer consumes these (the engine's hit-run
+        fast-forward was retired, DESIGN.md decision 16); the view is
+        kept because external layer tracing still times it by name.
 
         A *run* is a maximal span of instruction-only events (no
         data-side access, ``dblock < 0``); spans shorter than
@@ -192,22 +169,14 @@ class TransactionTrace:
         trace has no eligible runs, else ``(next_ff, runs)``:
 
         * ``next_ff[i]`` -- start index of the first eligible run at or
-          after event ``i`` (``len(trace)`` when none remain), so the
-          scalar loop knows exactly how far to interpret before the
-          next fast-forward opportunity;
+          after event ``i`` (``len(trace)`` when none remain);
         * ``runs[start] = (end, icycles, distinct_blocks,
           last_offsets, n_events, run_sets)`` -- the half-open span, the
-          per-event ``ilen * cpi`` terms (bit-identical operands to
-          :meth:`packed_events`, accumulated sequentially so float
-          cycle totals match the scalar loop), the distinct instruction
-          blocks in first-occurrence order (a tuple -- the engine keys
-          its residency memo on it, so identical code-path runs in
-          *different* traces share memo entries), each block's last
-          within-run offset (its final age stamp under MRU promotion),
+          per-event ``ilen * cpi`` terms (the operands of
+          :meth:`packed_events`), the distinct instruction blocks in
+          first-occurrence order, each block's last within-run offset,
           the event count, and the distinct L1-I set indices the run's
-          blocks map to (the engine sums those sets' fill counters into
-          the memo's residency signature, so only a fill touching an
-          involved set invalidates it).
+          blocks map to.
 
         Span discovery is vectorized with NumPy over the ``dblocks``
         column; built once per ``(cpi, num_sets)`` and shared by every

@@ -1,43 +1,34 @@
-"""The batch replay layer: hit-run fast-forwarding and warm-slice
-record/replay (``repro.sim.batch``).
+"""Whole-run invariants that outlived the batch replay layer.
 
-The contract under test is byte-identity: with the layer on, off
-(``REPRO_SIM_NOBATCH=1``), recording, or replaying, every simulation
-must serialize to exactly the same :func:`result_blob`.  On top of the
-differential sweep, unit tests pin the pieces the blobs alone don't:
-run-table construction, residency-signature invalidation on
-flush/invalidate, conservative fallback of a replayer on out-of-band
-mutation, and the oracle/NOBATCH bypasses.
+The batch record/replay and hit-run fast-forward machinery is gone; the
+fast kernel is now the only non-reference path.  What its tests pinned
+beyond the replay registry still holds and is kept here:
+
+* repeated runs serialize to the same :func:`result_blob` under every
+  scheduler, and match the reference kernel (``REPRO_SIM_REFERENCE=1``),
+  which never batched or fast-forwarded;
+* an out-of-band L1-I flush in the middle of a run leaves fast and
+  reference kernels in agreement;
+* :meth:`TransactionTrace.run_tables`, which the cold-campaign layer
+  benchmark still wraps by name, builds the same spans as before.
 """
-
-import random
-from pathlib import Path
 
 import pytest
 
-from repro.cache.cache import Cache, ReferenceCache
-from repro.config import CacheConfig, tiny_scale
+from repro.config import tiny_scale
 from repro.exp.diff import result_blob
-from repro.fastpath import CHECK_ENV, ENV_VAR, NOBATCH_ENV
-from repro.sim import batch
+from repro.fastpath import CHECK_ENV, ENV_VAR
 from repro.sim.api import SCHEDULERS, simulate
 from repro.sim.engine import SimulationEngine
 from repro.trace.trace import RUN_MIN_EVENTS, TransactionTrace
-from repro.verify.harness import load_corpus
 from repro.workloads import WORKLOADS
-
-CORPUS_DIR = Path(__file__).parent / "corpus"
 
 
 @pytest.fixture(autouse=True)
 def clean_slate(monkeypatch):
-    """Fresh registry and unset mode flags for every test."""
+    """Unset kernel-mode flags for every test."""
     monkeypatch.delenv(ENV_VAR, raising=False)
     monkeypatch.delenv(CHECK_ENV, raising=False)
-    monkeypatch.delenv(NOBATCH_ENV, raising=False)
-    batch.reset_registry()
-    yield
-    batch.reset_registry()
 
 
 def _mix(transactions=8, seed=7, cores=2):
@@ -46,211 +37,37 @@ def _mix(transactions=8, seed=7, cores=2):
     return config, suite.generate_mix(transactions, seed=seed)
 
 
-def _nobatch_blob(monkeypatch, config, traces, scheduler="base"):
-    monkeypatch.setenv(NOBATCH_ENV, "1")
-    try:
-        return result_blob(
-            simulate(config, traces, scheduler, "tpcc"))
-    finally:
-        monkeypatch.delenv(NOBATCH_ENV)
-
-
 class TestRecordReplayDifferential:
-    def test_triple_run_identical_and_replay_engaged(self):
-        config, traces = _mix()
-        blobs = [
-            result_blob(simulate(config, traces, "base", "tpcc"))
-            for _ in range(3)
-        ]
-        assert blobs[0] == blobs[1] == blobs[2]
-        registry = batch.registry()
-        # 1st sighting runs plain, 2nd records, 3rd replays.
-        assert registry.recordings == 1
-        assert registry.replays == 1
-        assert registry.fallbacks == 0
-        assert registry.aborts == 0
-
-    def test_matches_nobatch_byte_for_byte(self, monkeypatch):
-        config, traces = _mix()
-        blobs = {
-            result_blob(simulate(config, traces, "base", "tpcc"))
-            for _ in range(3)
-        }
-        blobs.add(_nobatch_blob(monkeypatch, config, traces))
-        assert len(blobs) == 1
-
     @pytest.mark.parametrize(
         "scheduler", ("base", "strex", "slicc", "hybrid", "smt"))
     def test_every_scheduler_matches_nobatch(self, monkeypatch,
                                              scheduler):
-        """Fast-forwarding runs under every scheduler (the tight and
-        the monitored loops); record/replay only under base/SMT --
-        either way the bytes must not move."""
+        """Three fast-kernel runs and one reference-kernel run of the
+        same traces serialize to the same bytes."""
         config, traces = _mix()
-        on = {
+        blobs = {
             result_blob(simulate(config, traces, scheduler, "tpcc"))
             for _ in range(3)
         }
-        on.add(_nobatch_blob(monkeypatch, config, traces, scheduler))
-        assert len(on) == 1
-
-    def test_smt_records_and_replays(self):
-        config, traces = _mix()
-        for _ in range(3):
-            simulate(config, traces, "smt", "tpcc")
-        registry = batch.registry()
-        assert registry.recordings == 1
-        assert registry.replays == 1
-
-    def test_strex_is_not_replay_eligible(self):
-        """STREX consults live cache state (victim callbacks, tag
-        scans) between slices -- it must never be recorded."""
-        config, traces = _mix()
-        for _ in range(3):
-            simulate(config, traces, "strex", "tpcc")
-        registry = batch.registry()
-        assert registry.recordings == 0
-        assert registry.replays == 0
-
-    def test_corpus_batch_on_off(self, monkeypatch):
-        """Every committed fuzz case: three batch-on runs (record and
-        replay included) and a batch-off run, all byte-identical."""
-        pairs = load_corpus(CORPUS_DIR)
-        assert pairs, "committed corpus missing"
-        for path, case in pairs:
-            batch.reset_registry()
-            config = case.build_config()
-            traces = case.build_traces()
-            blobs = set()
-            for _ in range(3):
-                blobs.add(result_blob(simulate(
-                    config, traces, case.scheduler,
-                    workload_name=case.workload,
-                    prefetcher=case.prefetcher,
-                    team_size=case.team_size,
-                )))
-            monkeypatch.setenv(NOBATCH_ENV, "1")
-            try:
-                blobs.add(result_blob(simulate(
-                    config, traces, case.scheduler,
-                    workload_name=case.workload,
-                    prefetcher=case.prefetcher,
-                    team_size=case.team_size,
-                )))
-            finally:
-                monkeypatch.delenv(NOBATCH_ENV)
-            assert len(blobs) == 1, f"batch on/off diverged: {path}"
-
-
-class TestReplayerFallback:
-    def test_out_of_band_mutation_falls_back_correctly(self):
-        config, traces = _mix()
-        baseline = result_blob(simulate(config, traces, "base", "tpcc"))
-        simulate(config, traces, "base", "tpcc")  # records
-        engine = SimulationEngine(config, traces, SCHEDULERS["base"])
-        assert isinstance(engine._batch, batch._Replayer)
-        # Semantically a no-op on the still-empty cache, but it bumps
-        # the mutation version -- the replayer must notice and detach.
-        engine.hier.l1i[0].flush()
-        result = engine.run("tpcc")
-        assert result_blob(result) == baseline
-        registry = batch.registry()
-        assert registry.fallbacks == 1
-        assert registry.replays == 0
-
-    def test_replay_materializes_full_state(self):
-        """A replayed engine must end in the recorded engine's exact
-        state, not just produce the same result object."""
-        config, traces = _mix()
-        engines = []
-        for _ in range(3):
-            engine = SimulationEngine(
-                config, traces, SCHEDULERS["base"])
-            engine.run("tpcc")
-            engines.append(engine)
-        recorded, replayed = engines[1], engines[2]
-        assert isinstance(replayed._batch, batch._Replayer)
-        assert batch.registry().replays == 1
-        assert replayed.core_time == recorded.core_time
-        assert replayed.total_instructions == \
-            recorded.total_instructions
-        for a, b in zip(
-            list(recorded.hier.l1i) + list(recorded.hier.l1d)
-                + list(recorded.hier.l2),
-            list(replayed.hier.l1i) + list(replayed.hier.l1d)
-                + list(replayed.hier.l2),
-        ):
-            assert a.stats.snapshot() == b.stats.snapshot()
-            assert a._where == b._where
-            assert a._slot_blocks == b._slot_blocks
-            assert a.policy._ages == b.policy._ages
-            assert a.policy._tick == b.policy._tick
-            assert a.version == b.version
-        assert recorded.hier.dram.row_hits == \
-            replayed.hier.dram.row_hits
-        assert recorded.hier.noc.messages == \
-            replayed.hier.noc.messages
-        assert recorded.hier.l2_demand_traffic == \
-            replayed.hier.l2_demand_traffic
-        assert recorded.hier.coherence_misses == \
-            replayed.hier.coherence_misses
-
-    def test_call_shape_change_falls_back(self):
-        config, traces = _mix()
-        simulate(config, traces, "base", "tpcc")
-        simulate(config, traces, "base", "tpcc")
-        engine = SimulationEngine(config, traces, SCHEDULERS["base"])
-        assert isinstance(engine._batch, batch._Replayer)
-        thread = engine.threads[0]
-        log = []
-        executed = engine.run_events(0, thread, 16, miss_log=log)
-        assert executed == 16
-        assert log, "miss log must be live after fallback"
-        assert engine._batch is None
-        assert batch.registry().fallbacks == 1
+        monkeypatch.setenv(ENV_VAR, "1")
+        try:
+            blobs.add(result_blob(
+                simulate(config, traces, scheduler, "tpcc")))
+        finally:
+            monkeypatch.delenv(ENV_VAR)
+        assert len(blobs) == 1
 
 
 class TestFastForwardInvalidation:
-    def _drive_until_memoized(self, engine):
-        thread = engine.threads[0]
-        while thread.pos < len(thread.trace):
-            engine.run_events(0, thread, 200)
-            if engine._ff_memos[0]:
-                return thread
-        pytest.skip("trace produced no memoized runs")
-
-    def test_flush_invalidates_every_memo(self):
-        config, traces = _mix()
-        engine = SimulationEngine(config, traces, SCHEDULERS["base"])
-        self._drive_until_memoized(engine)
-        l1i = engine.hier.l1i[0]
-        shock_before = l1i.version - engine._ff_fill_base[0]
-        l1i.flush()
-        shock_after = l1i.version - engine._ff_fill_base[0]
-        # Every memo's signature embeds the out-of-band count, so the
-        # bump stales all of them at once.
-        assert shock_after == shock_before + 1
-
-    def test_invalidate_invalidates_every_memo(self):
-        config, traces = _mix()
-        engine = SimulationEngine(config, traces, SCHEDULERS["base"])
-        self._drive_until_memoized(engine)
-        l1i = engine.hier.l1i[0]
-        block = next(iter(l1i.resident_blocks()))
-        shock_before = l1i.version - engine._ff_fill_base[0]
-        assert l1i.invalidate(block)
-        shock_after = l1i.version - engine._ff_fill_base[0]
-        assert shock_after == shock_before + 1
-
     def test_results_unchanged_by_mid_run_flush(self, monkeypatch):
-        """Flush mid-simulation, batch on vs off: the memos must not
-        leak pre-flush residency into post-flush replay."""
+        """Flush the L1-I mid-simulation: the fast kernel must see the
+        emptied cache exactly as the reference kernel does."""
 
-        def drive(nobatch):
-            if nobatch:
-                monkeypatch.setenv(NOBATCH_ENV, "1")
+        def drive(reference):
+            if reference:
+                monkeypatch.setenv(ENV_VAR, "1")
             else:
-                monkeypatch.delenv(NOBATCH_ENV, raising=False)
+                monkeypatch.delenv(ENV_VAR, raising=False)
             config, traces = _mix(transactions=4)
             engine = SimulationEngine(
                 config, traces, SCHEDULERS["base"])
@@ -265,32 +82,7 @@ class TestFastForwardInvalidation:
             return (engine.core_time[0], stats.hits, stats.misses,
                     thread.instructions_done)
 
-        assert drive(nobatch=False) == drive(nobatch=True)
-
-    def test_ff_disabled_when_oracles_armed(self, monkeypatch):
-        monkeypatch.setenv(CHECK_ENV, "1")
-        config, traces = _mix(transactions=4)
-        engine = SimulationEngine(config, traces, SCHEDULERS["base"])
-        assert not engine._ff_enabled
-        assert engine._batch is None
-        engine.run("tpcc")
-        assert engine.ff_runs == 0
-
-    def test_ff_disabled_under_nobatch(self, monkeypatch):
-        monkeypatch.setenv(NOBATCH_ENV, "1")
-        config, traces = _mix(transactions=4)
-        engine = SimulationEngine(config, traces, SCHEDULERS["base"])
-        assert not engine._ff_enabled
-        assert engine._batch is None
-        engine.run("tpcc")
-        assert engine.ff_runs == 0
-
-    def test_ff_engages_on_plain_engine(self):
-        config, traces = _mix(transactions=4)
-        engine = SimulationEngine(config, traces, SCHEDULERS["base"])
-        assert engine._ff_enabled
-        engine.run("tpcc")
-        assert engine.ff_runs > 0
+        assert drive(reference=False) == drive(reference=True)
 
 
 class TestRunTables:
@@ -349,92 +141,3 @@ class TestRunTables:
             1, "X", [1, 2, 3, 4], [1] * 4, [-1] * 4, [0] * 4)
         assert trace.run_tables(1.0, 4) is trace.run_tables(1.0, 4)
         assert trace.run_tables(1.0, 4) is not trace.run_tables(2.0, 4)
-
-
-class TestContentKey:
-    def test_array_and_list_backed_traces_agree(self):
-        np = pytest.importorskip("numpy")
-        cols = ([1, 2, 3], [1, 1, 2], [-1, 5, -1], [0, 1, 0])
-        as_lists = TransactionTrace(3, "T", *cols)
-        as_arrays = TransactionTrace(
-            3, "T", *(np.asarray(c) for c in cols))
-        assert as_lists.content_key() == as_arrays.content_key()
-        assert as_lists.event_columns() == as_arrays.event_columns()
-
-    def test_sensitive_to_every_column_and_meta(self):
-        base = (3, "T", [1, 2], [1, 1], [-1, 5], [0, 1])
-        key = TransactionTrace(*base).content_key()
-        variants = [
-            (4, "T", [1, 2], [1, 1], [-1, 5], [0, 1]),
-            (3, "U", [1, 2], [1, 1], [-1, 5], [0, 1]),
-            (3, "T", [1, 9], [1, 1], [-1, 5], [0, 1]),
-            (3, "T", [1, 2], [1, 2], [-1, 5], [0, 1]),
-            (3, "T", [1, 2], [1, 1], [-1, 6], [0, 1]),
-            (3, "T", [1, 2], [1, 1], [-1, 5], [0, 0]),
-        ]
-        assert all(
-            TransactionTrace(*v).content_key() != key
-            for v in variants
-        )
-
-    def test_memoized(self):
-        trace = TransactionTrace(1, "X", [1], [1], [-1], [0])
-        assert trace.content_key() is trace.content_key()
-
-
-class TestVersionCounter:
-    @pytest.mark.parametrize("cls", (Cache, ReferenceCache))
-    def test_mutators_bump(self, cls):
-        cache = cls(CacheConfig(512, assoc=4),
-                    rng=random.Random(7))
-        version = cache.version
-        cache.access(1)
-        assert cache.version > version
-        version = cache.version
-        cache.access(1)  # hits still promote/tag -> still a mutation
-        assert cache.version > version
-        version = cache.version
-        cache.set_tag(1, 3)
-        assert cache.version > version
-        version = cache.version
-        assert cache.invalidate(1)
-        assert cache.version > version
-        version = cache.version
-        cache.access(2)
-        cache.flush()
-        assert cache.version > version
-        version = cache.version
-        cache.reset_tags()
-        assert cache.version > version
-
-    @pytest.mark.parametrize("cls", (Cache, ReferenceCache))
-    def test_nonresident_probes_still_conservative(self, cls):
-        cache = cls(CacheConfig(512, assoc=4),
-                    rng=random.Random(7))
-        version = cache.version
-        assert not cache.invalidate(42)
-        assert not cache.set_tag(42, 1)
-        # Bumping on a no-op is allowed (conservative), never required
-        # to stay put -- but residency must be unchanged.
-        assert cache.occupancy == 0
-        assert cache.version >= version
-
-
-class TestRegistry:
-    def test_lru_capacity(self):
-        registry = batch.ReplayRegistry(capacity=1)
-        for key in ("a", "b"):
-            assert registry.mode_for((key,)) == ("off", None)
-            assert registry.mode_for((key,))[0] == "record"
-            registry.store((key,), [])
-        # "a" was evicted by "b"; seeing it again re-records.
-        assert registry.mode_for(("a",))[0] == "record"
-        assert registry.mode_for(("b",))[0] == "replay"
-
-    def test_clear_resets_counters(self):
-        registry = batch.ReplayRegistry()
-        registry.mode_for(("k",))
-        registry.store(("k",), [])
-        registry.clear()
-        assert registry.recordings == 0
-        assert registry.mode_for(("k",)) == ("off", None)

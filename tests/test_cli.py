@@ -5,12 +5,15 @@ import multiprocessing
 import pytest
 
 from repro.__main__ import (
+    OVERRIDE_EXAMPLES,
+    _grid_sweep,
     build_parser,
     build_shard_parser,
     build_sweep_parser,
     main,
     run_single,
 )
+from repro.exp import validate_specs
 
 needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -142,6 +145,42 @@ class TestSweepSubcommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "2 runs" in out
+
+    @pytest.mark.parametrize("command", ("sweep", "shard"))
+    def test_zero_team_size_is_one_error_line(self, capsys, tmp_path,
+                                              command):
+        argv = [command, "--workloads", "tpcc", "--schedulers", "strex",
+                "--team-sizes", "0", "--cores", "2",
+                "--transactions", "4", "--scales", "tiny",
+                "--cache-dir", str(tmp_path)]
+        if command == "shard":
+            argv += ["--shard", "0/1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "team_size must be positive" in lines[0]
+        assert captured.out == ""
+        assert list(tmp_path.glob("*/*.json")) == []
+
+    def test_override_help_examples_are_valid(self):
+        """Every override example in the help text names real fields
+        and values the config classes accept."""
+        actions = {
+            option: action
+            for action in build_sweep_parser()._actions
+            for option in action.option_strings
+        }
+        for option, (target, example) in OVERRIDE_EXAMPLES.items():
+            help_text = " ".join(actions[option].help.split())
+            assert f"{target} fields, e.g. '{example}'" in help_text
+            args = build_sweep_parser().parse_args([
+                "--schedulers", "strex", "hybrid", "--scales", "tiny",
+                option, example])
+            specs = _grid_sweep(args).expand()
+            assert len(specs) > 1
+            validate_specs(specs)
 
 
 class TestShardSubcommand:

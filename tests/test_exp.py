@@ -255,6 +255,38 @@ class TestRunner:
         assert (runner.hits, runner.misses) == (4, 0)
         assert first == second
 
+    def test_cache_lookups_do_not_glob(self, tmp_path, monkeypatch):
+        """Each cell probes its own entry: no directory glob per cell
+        (a ResultCache's truthiness is its ``__len__``, which globs),
+        and an empty cache is still consulted for every cell."""
+        import pathlib
+
+        globbed = []
+        real_glob = pathlib.Path.glob
+
+        def counting_glob(path, pattern, *args, **kwargs):
+            if str(path).startswith(str(tmp_path)):
+                globbed.append(pattern)
+            return real_glob(path, pattern, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "glob", counting_glob)
+        cache = ResultCache(tmp_path)
+        looked_up = []
+        real_get = cache.get
+
+        def counting_get(key):
+            looked_up.append(key)
+            return real_get(key)
+
+        cache.get = counting_get
+        runner = Runner(cache=cache)
+        runner.run(tiny_sweep())
+        assert len(looked_up) == 4
+        runner.run(tiny_sweep())
+        assert len(looked_up) == 8
+        assert runner.hits == 4
+        assert globbed == []
+
     def test_parallel_equals_serial(self, tmp_path):
         sweep = tiny_sweep()
         serial = Runner(jobs=1).run(sweep)

@@ -372,20 +372,20 @@ class TestPerfBench:
 class TestPerfHistoryGate:
     """The ``perf --history`` ledger archives clean runs only.
 
-    Regression for a bug where a report that failed ``--min-speedup``
-    (or carried ``parity: False``) was appended anyway, poisoning
+    Regression for a bug where a report that failed a gate (or
+    carried ``parity: False``) was appended anyway, poisoning
     over-time comparisons with numbers a gate had already rejected.
     """
 
     @staticmethod
-    def _fake_report(parity=True, batch_speedup=2.0):
+    def _fake_report(parity=True, events_per_s=10_000):
         return {
-            "workload": "tpcc", "scale": "tiny", "cores": 2,
+            "bench": "sim_kernel", "workload": "tpcc", "scale": "tiny",
+            "transactions": 3, "cores": 2, "seed": 1013,
             "events": 1000, "repeats": 1,
-            "fast": {"wall_s": 0.1, "events_per_s": 10_000},
+            "fast": {"wall_s": 0.1, "events_per_s": events_per_s},
             "reference": {"wall_s": 0.2, "events_per_s": 5_000},
             "speedup": 2.0, "parity": parity,
-            "batch_speedup": batch_speedup,
             "schedulers_wall_s": {"base": 0.05, "strex": 0.05},
         }
 
@@ -402,8 +402,7 @@ class TestPerfHistoryGate:
 
     def test_clean_report_is_appended(self, monkeypatch, tmp_path):
         text, code, history = self._run(
-            monkeypatch, tmp_path, self._fake_report(),
-            extra=["--min-speedup", "1.0"])
+            monkeypatch, tmp_path, self._fake_report())
         assert code == 0
         assert f"appended to {history}" in text
         import json as json_mod
@@ -414,10 +413,18 @@ class TestPerfHistoryGate:
 
     def test_failed_speedup_gate_is_not_appended(self, monkeypatch,
                                                  tmp_path):
+        # The speed gate is ``--check``: a kernel slower than the
+        # prior report by more than the budget fails it.
+        import json as json_mod
+
+        prior = tmp_path / "prior.json"
+        prior.write_text(json_mod.dumps(self._fake_report()))
         text, code, history = self._run(
-            monkeypatch, tmp_path, self._fake_report(),
-            extra=["--min-speedup", "99.0"])
+            monkeypatch, tmp_path,
+            self._fake_report(events_per_s=5_000),
+            extra=["--check", str(prior)])
         assert code == 1
+        assert "kernel slowdown exceeds budget" in text
         assert "not appending" in text
         assert not history.exists()
 

@@ -35,7 +35,6 @@ import pytest
 
 import repro.exp.runner as runner_mod
 from repro.__main__ import main
-from repro.sim import batch
 from repro.exp import (
     Manifest,
     ResultCache,
@@ -74,13 +73,7 @@ def tiny_spec(**overrides) -> RunSpec:
 
 
 def small_grid():
-    """Four tiny cells: base and strex at one and two cores.
-
-    The base cells are batch-record/replay eligible, the strex cells
-    are not — so a ``--repeat 3`` job replays exactly the base cells
-    and the per-worker replay assertions can be derived from the
-    affinity routing.
-    """
+    """Four tiny cells: base and strex at one and two cores."""
     return [tiny_spec(scheduler=scheduler, cores=cores)
             for scheduler in ("base", "strex") for cores in (1, 2)]
 
@@ -298,16 +291,11 @@ class TestServiceDifferential:
     def test_served_grid_is_byte_identical_to_a_solo_run(
             self, tmp_path):
         """The core contract end to end: a repeat-primed served job
-        executes every cell, replays batches on the base cells, leaves
+        executes every cell on the workers' warm trace memos, leaves
         the cache byte-identical to a solo Runner's, and a warm
         resubmission is 100% cache hits settled without a worker."""
         specs = small_grid()
         served_root = tmp_path / "served"
-        # The workers fork from this process, so any batch-registry
-        # sightings accumulated here (by earlier tests or a solo run)
-        # would skew their replay counts — not their bytes.  Start
-        # them cold and run the solo reference *after* the service.
-        batch.reset_registry()
         with service(served_root, workers=2) as (root, _process):
             job_id = submit_job(root, specs, repeat=3)
             record = wait_job(root, job_id, timeout=300.0)
@@ -315,13 +303,10 @@ class TestServiceDifferential:
             assert record["done"] == len(specs)
             assert record["executed"] == len(specs)
             assert record["cache_hits"] == 0
-            # repeat=3 walks each base cell through sight → record →
-            # replay; strex cells are batch-ineligible by design.
-            base_cells = sum(1 for s in specs if s.scheduler == "base")
-            assert record["batch_replays"] == base_cells
-            assert record["warm_hits"] == base_cells
-            assert record["warm_rate"] == pytest.approx(
-                base_cells / len(specs))
+            # repeat=3 re-runs every cell on the traces its worker's
+            # memo already holds, so every cell counts as warm.
+            assert record["warm_hits"] == len(specs)
+            assert record["warm_rate"] == 1.0
 
             warm_id = submit_job(root, specs)
             warm = wait_job(root, warm_id, timeout=60.0)
@@ -333,23 +318,22 @@ class TestServiceDifferential:
             assert all(cell["worker"] is None
                        for cell in warm["cells"].values())
 
-            # Affinity pins each base cell's replays to its worker.
-            # Heartbeats are periodic, so give the counters one beat
-            # to land before asserting on them.
-            replay_workers = {route(s, 2) for s in specs
-                              if s.scheduler == "base"}
+            # Affinity pins each cell's repeats to its worker, whose
+            # trace memo serves them.  Heartbeats are periodic, so
+            # give the counters one beat to land before asserting.
+            memo_workers = {route(s, 2) for s in specs}
             deadline = time.monotonic() + 5.0
             while True:
                 status = service_status(root)
-                if all(status["workers"][i]["batch_replays"] >= 1
-                       for i in replay_workers) \
+                if all(status["workers"][i]["trace_memo_hits"] >= 1
+                       for i in memo_workers) \
                         or time.monotonic() > deadline:
                     break
                 time.sleep(0.05)
             assert status["supervisor"]["alive"] is True
             assert status["jobs"]["done"] == 2
-            for index in replay_workers:
-                assert status["workers"][index]["batch_replays"] >= 1
+            for index in memo_workers:
+                assert status["workers"][index]["trace_memo_hits"] >= 1
 
         # Drained: the supervisor exited 0 and published its state.
         assert read_state(root)["state"] == "stopped"
@@ -436,7 +420,7 @@ class TestServiceCrashPaths:
         cell_id = f"{job_id}.0000"
         record.update(state="running", cells={cell_id: {
             "key": spec_key(spec), "worker": 0, "status": "pending",
-            "hit": False, "warm": False, "batch_replays": 0,
+            "hit": False, "warm": False,
             "wall_s": 0.0, "attempts": 1, "error": None,
         }})
         from repro.svc.queue import _atomic_write_json
